@@ -16,6 +16,35 @@
 //! The eta file is periodically collapsed into a fresh factorization
 //! (refactorization), which both bounds solve cost and washes out
 //! accumulated floating-point drift.
+//!
+//! # Cost model
+//!
+//! Simplex bases are mostly slacks, and their factors stay very sparse, so
+//! every kernel is written to cost what its nonzeros cost:
+//!
+//! * [`LuFactors::build`] scatters each column into a dense work vector
+//!   and tracks its nonzero pattern. It applies only the earlier
+//!   elimination steps whose pivot row is in that pattern (fill included),
+//!   picks the pivot and the `L` column from the pattern's free rows, and
+//!   resets only the touched entries. One column costs
+//!   `O(f log f)` for `f` touched entries, not `Θ(m)`.
+//! * FTRAN skips an eta whose multiplier is exactly `0.0`.
+//! * The forward LU solve already skips zero multipliers. Etas stay dense:
+//!   storing them sparsely gave no further gain and used more memory.
+//!
+//! # Bit-identity with the dense build
+//!
+//! Reachable steps are applied in **increasing step order**, which is the
+//! order a dense left-looking build tries them in. A step the sparse build
+//! never reaches has an exactly-zero multiplier, so the dense build skips
+//! it too. Free rows are scanned in increasing row index, so pivot ties
+//! break the same way. The factors are therefore bit-identical to a dense
+//! build's, and so is every FTRAN, BTRAN and simplex pivot; the dense build
+//! is kept in the tests as the oracle. A skipped zero-multiplier eta can at
+//! most flip the sign of an exact zero in the FTRAN result.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One product-form update: basis position `pos` was replaced by a column
 /// whose FTRAN image (through the basis *before* this update) is `w`.
@@ -67,51 +96,61 @@ impl LuFactors {
         };
         // step_of_row[r] = Some(k) once row r became pivotal at step k.
         let mut step_of_row: Vec<Option<usize>> = vec![None; m];
-        let mut work = vec![0.0_f64; m];
+        let mut work = WorkColumn::new(m);
+        let mut free_rows: Vec<usize> = Vec::new();
         for k in 0..m {
-            let col = &cols[f.colorder[k]];
-            for &(r, a) in col {
-                work[r] = a;
+            for &(r, a) in &cols[f.colorder[k]] {
+                work.touch(r, step_of_row[r]);
+                work.x[r] = a;
             }
-            // Left-looking update: apply earlier elimination steps in order,
-            // harvesting the U entries as we go.
+            // Left-looking update: apply the reachable earlier elimination
+            // steps in increasing order, harvesting the U entries as we go.
+            // Step `t` only writes rows pivotal after `t`, so any step it
+            // makes reachable is still ahead in the queue.
             let mut u_col = Vec::new();
-            for t in 0..k {
-                let u = work[f.perm[t]];
+            while let Some(Reverse(t)) = work.pending.pop() {
+                let u = work.x[f.perm[t]];
                 if u != 0.0 {
                     u_col.push((t, u));
                     for &(r, l) in &f.l_cols[t] {
-                        work[r] -= l * u;
+                        work.touch(r, step_of_row[r]);
+                        work.x[r] -= l * u;
                     }
                 }
             }
             // Partial pivoting among rows not yet pivotal; ties break toward
             // the smallest row index (deterministic).
+            free_rows.clear();
+            free_rows.extend(
+                work.pattern
+                    .iter()
+                    .copied()
+                    .filter(|&r| step_of_row[r].is_none()),
+            );
+            free_rows.sort_unstable();
             let mut pivot_row = usize::MAX;
             let mut pivot_abs = 0.0_f64;
-            for (r, s) in step_of_row.iter().enumerate() {
-                if s.is_none() && work[r].abs() > pivot_abs {
-                    pivot_abs = work[r].abs();
+            for &r in &free_rows {
+                if work.x[r].abs() > pivot_abs {
+                    pivot_abs = work.x[r].abs();
                     pivot_row = r;
                 }
             }
             if pivot_abs < SINGULAR_TOL {
                 return None;
             }
-            let d = work[pivot_row];
-            let mut l_col = Vec::new();
-            for (r, s) in step_of_row.iter().enumerate() {
-                if s.is_none() && r != pivot_row && work[r] != 0.0 {
-                    l_col.push((r, work[r] / d));
-                }
-            }
+            let d = work.x[pivot_row];
+            let l_col = free_rows
+                .iter()
+                .filter(|&&r| r != pivot_row && work.x[r] != 0.0)
+                .map(|&r| (r, work.x[r] / d))
+                .collect();
             step_of_row[pivot_row] = Some(k);
             f.perm.push(pivot_row);
             f.udiag.push(d);
             f.u_cols.push(u_col);
             f.l_cols.push(l_col);
-            // Reset touched entries for the next column.
-            work.fill(0.0);
+            work.clear();
         }
         Some(f)
     }
@@ -165,6 +204,49 @@ impl LuFactors {
     }
 }
 
+/// The column being eliminated in [`LuFactors::build`]: a dense vector
+/// whose nonzero pattern is tracked, so each step costs its nonzeros.
+struct WorkColumn {
+    x: Vec<f64>,
+    /// Rows written since the last [`clear`](Self::clear); only these can
+    /// hold a nonzero.
+    pattern: Vec<usize>,
+    touched: Vec<bool>,
+    /// Elimination steps whose pivot row is in `pattern`, smallest first.
+    pending: BinaryHeap<Reverse<usize>>,
+}
+
+impl WorkColumn {
+    fn new(m: usize) -> Self {
+        WorkColumn {
+            x: vec![0.0; m],
+            pattern: Vec::new(),
+            touched: vec![false; m],
+            pending: BinaryHeap::new(),
+        }
+    }
+
+    /// Record a write to row `r`, pivotal at step `step` if it already is;
+    /// the first write to a pivotal row queues its step.
+    fn touch(&mut self, r: usize, step: Option<usize>) {
+        if !self.touched[r] {
+            self.touched[r] = true;
+            self.pattern.push(r);
+            if let Some(t) = step {
+                self.pending.push(Reverse(t));
+            }
+        }
+    }
+
+    /// Zero the touched entries only.
+    fn clear(&mut self) {
+        for r in self.pattern.drain(..) {
+            self.x[r] = 0.0;
+            self.touched[r] = false;
+        }
+    }
+}
+
 /// A factorized basis plus its eta file: the complete `B⁻¹` operator of the
 /// revised simplex between two refactorizations.
 #[derive(Debug, Clone)]
@@ -203,8 +285,11 @@ impl FactorizedBasis {
         let mut out = vec![0.0; m];
         self.factor.solve(&mut b, &mut self.scratch, &mut out);
         for eta in &self.etas {
-            let wp = eta.w[eta.pos];
-            let t = out[eta.pos] / wp;
+            let t = out[eta.pos] / eta.w[eta.pos];
+            // A zero multiplier would only subtract zeros.
+            if t == 0.0 {
+                continue;
+            }
             for (i, (x, &wi)) in out.iter_mut().zip(&eta.w).enumerate() {
                 if i != eta.pos {
                     *x -= wi * t;
@@ -238,6 +323,256 @@ impl FactorizedBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The dense left-looking build that [`LuFactors::build`] replaced:
+    /// every earlier step is tried, every row is scanned for the pivot and
+    /// for the `L` column, and the whole work vector is cleared. Kept as the
+    /// oracle the sparse build must match bit for bit.
+    fn dense_build(m: usize, cols: &[Vec<(usize, f64)>], order: &[usize]) -> Option<LuFactors> {
+        let mut f = LuFactors {
+            m,
+            colorder: order.to_vec(),
+            perm: Vec::with_capacity(m),
+            l_cols: Vec::with_capacity(m),
+            u_cols: Vec::with_capacity(m),
+            udiag: Vec::with_capacity(m),
+        };
+        let mut step_of_row: Vec<Option<usize>> = vec![None; m];
+        let mut work = vec![0.0_f64; m];
+        for k in 0..m {
+            for &(r, a) in &cols[f.colorder[k]] {
+                work[r] = a;
+            }
+            let mut u_col = Vec::new();
+            for t in 0..k {
+                let u = work[f.perm[t]];
+                if u != 0.0 {
+                    u_col.push((t, u));
+                    for &(r, l) in &f.l_cols[t] {
+                        work[r] -= l * u;
+                    }
+                }
+            }
+            let mut pivot_row = usize::MAX;
+            let mut pivot_abs = 0.0_f64;
+            for (r, s) in step_of_row.iter().enumerate() {
+                if s.is_none() && work[r].abs() > pivot_abs {
+                    pivot_abs = work[r].abs();
+                    pivot_row = r;
+                }
+            }
+            if pivot_abs < SINGULAR_TOL {
+                return None;
+            }
+            let d = work[pivot_row];
+            let mut l_col = Vec::new();
+            for (r, s) in step_of_row.iter().enumerate() {
+                if s.is_none() && r != pivot_row && work[r] != 0.0 {
+                    l_col.push((r, work[r] / d));
+                }
+            }
+            step_of_row[pivot_row] = Some(k);
+            f.perm.push(pivot_row);
+            f.udiag.push(d);
+            f.u_cols.push(u_col);
+            f.l_cols.push(l_col);
+            work.fill(0.0);
+        }
+        Some(f)
+    }
+
+    /// Everything a factorization consists of, with floats as bit patterns.
+    type FactorBits = (
+        Vec<usize>,
+        Vec<usize>,
+        Vec<u64>,
+        Vec<Vec<(usize, u64)>>,
+        Vec<Vec<(usize, u64)>>,
+    );
+
+    fn bits(f: &LuFactors) -> FactorBits {
+        let entries = |cols: &[Vec<(usize, f64)>]| -> Vec<Vec<(usize, u64)>> {
+            cols.iter()
+                .map(|c| c.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+                .collect()
+        };
+        (
+            f.colorder.clone(),
+            f.perm.clone(),
+            f.udiag.iter().map(|v| v.to_bits()).collect(),
+            entries(&f.l_cols),
+            entries(&f.u_cols),
+        )
+    }
+
+    /// The simplex's canonical order, ascending `(nnz, column index)`, with
+    /// basis positions standing in for column indices.
+    fn canonical_order(cols: &[Vec<(usize, f64)>]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..cols.len()).collect();
+        order.sort_by_key(|&c| (cols[c].len(), c));
+        order
+    }
+
+    /// A random simplex-like basis: with probability `slack_share` a
+    /// position holds the slack of its own row (one `±1`), otherwise a
+    /// structural column of up to four nonzeros. Small dyadic values keep
+    /// the arithmetic exact, so entries regularly cancel to exactly `0.0`
+    /// during elimination.
+    fn random_basis(rng: &mut StdRng, m: usize, slack_share: f64) -> Vec<Vec<(usize, f64)>> {
+        const VALUES: [f64; 8] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 4.0, -3.0];
+        (0..m)
+            .map(|pos| {
+                if rng.random_bool(slack_share) {
+                    let sign = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+                    return vec![(pos, sign)];
+                }
+                let mut rows: Vec<usize> = (0..rng.random_range(1..=4))
+                    .map(|_| rng.random_range(0..m))
+                    .collect();
+                rows.sort_unstable();
+                rows.dedup();
+                rows.into_iter()
+                    .map(|r| (r, VALUES[rng.random_range(0..VALUES.len())]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_builds_agree(m: usize, cols: &[Vec<(usize, f64)>], order: &[usize]) -> bool {
+        let sparse = LuFactors::build(m, cols, order);
+        let dense = dense_build(m, cols, order);
+        assert_eq!(
+            sparse.as_ref().map(bits),
+            dense.as_ref().map(bits),
+            "sparse and dense builds differ on {cols:?} in order {order:?}"
+        );
+        sparse.is_some()
+    }
+
+    #[test]
+    fn sparse_build_matches_dense_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let (mut nonsingular, mut singular) = (0, 0);
+        for case in 0..600 {
+            let m = rng.random_range(1..=30);
+            let slack_share = [0.9, 0.6, 0.2][case % 3];
+            let cols = random_basis(&mut rng, m, slack_share);
+            let order = if case % 2 == 0 {
+                canonical_order(&cols)
+            } else {
+                let mut order: Vec<usize> = (0..m).collect();
+                for i in (1..m).rev() {
+                    order.swap(i, rng.random_range(0..=i));
+                }
+                order
+            };
+            if assert_builds_agree(m, &cols, &order) {
+                nonsingular += 1;
+            } else {
+                singular += 1;
+            }
+        }
+        assert!(
+            nonsingular >= 100 && singular >= 100,
+            "{nonsingular} / {singular}"
+        );
+    }
+
+    #[test]
+    fn sparse_build_matches_dense_oracle_on_cancellation_and_singular_bases() {
+        // Column 1 minus column 0 cancels row 1 to exactly 0.0, which must
+        // stay out of the L column in both builds.
+        let mat: Vec<&[f64]> = vec![&[1.0, 1.0, 0.0], &[1.0, 1.0, 1.0], &[0.0, 1.0, 1.0]];
+        let cols = dense_cols(&mat);
+        assert!(assert_builds_agree(3, &cols, &[0, 1, 2]));
+        let f = LuFactors::build(3, &cols, &[0, 1, 2]).unwrap();
+        assert!(f.l_cols[1].is_empty(), "{:?}", f.l_cols);
+
+        // Singular: an empty column, a repeated column, a column that is the
+        // exact sum of two others, and two slacks on the same row.
+        let singular: Vec<Vec<Vec<(usize, f64)>>> = vec![
+            vec![vec![(0, 1.0)], vec![], vec![(2, 1.0)]],
+            vec![
+                vec![(0, 2.0), (1, 1.0)],
+                vec![(1, 1.0)],
+                vec![(0, 2.0), (1, 1.0)],
+            ],
+            vec![
+                vec![(0, 1.0), (2, 2.0)],
+                vec![(1, -1.0), (2, 0.5)],
+                vec![(0, 1.0), (1, -1.0), (2, 2.5)],
+            ],
+            vec![vec![(1, 1.0)], vec![(0, 1.0)], vec![(1, -1.0)]],
+        ];
+        for cols in &singular {
+            assert!(!assert_builds_agree(3, cols, &canonical_order(cols)));
+            assert!(!assert_builds_agree(3, cols, &[2, 1, 0]));
+        }
+    }
+
+    /// FTRAN with every eta applied densely, including zero multipliers.
+    fn dense_ftran(
+        basis: &mut FactorizedBasis,
+        mut b: Vec<f64>,
+        zero_multipliers: &mut usize,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; basis.factor.m];
+        basis.factor.solve(&mut b, &mut basis.scratch, &mut out);
+        for eta in &basis.etas {
+            let t = out[eta.pos] / eta.w[eta.pos];
+            *zero_multipliers += usize::from(t == 0.0);
+            for (i, (x, &wi)) in out.iter_mut().zip(&eta.w).enumerate() {
+                if i != eta.pos {
+                    *x -= wi * t;
+                }
+            }
+            out[eta.pos] = t;
+        }
+        out
+    }
+
+    #[test]
+    fn zero_skipping_ftran_equals_dense_eta_application() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut zero_multipliers = 0;
+        let mut checked = 0;
+        while checked < 200 {
+            let m = rng.random_range(2..=12);
+            let cols = random_basis(&mut rng, m, 0.7);
+            let Some(f) = LuFactors::build(m, &cols, &canonical_order(&cols)) else {
+                continue;
+            };
+            let mut basis = FactorizedBasis::new(f);
+            // A few pivots: enter a random sparse column wherever its FTRAN
+            // image has a safe pivot element.
+            for _ in 0..rng.random_range(1..=6) {
+                let entering = random_basis(&mut rng, m, 0.0).swap_remove(0);
+                let mut a = vec![0.0; m];
+                for (r, v) in entering {
+                    a[r] = v;
+                }
+                let w = basis.ftran(a);
+                let pos = rng.random_range(0..m);
+                if w[pos].abs() > 1e-3 {
+                    basis.push_eta(pos, w);
+                }
+            }
+            // Sparse right-hand sides leave many multipliers exactly zero.
+            let mut b = vec![0.0; m];
+            for _ in 0..rng.random_range(1..=2) {
+                b[rng.random_range(0..m)] = 1.0;
+            }
+            let want = dense_ftran(&mut basis, b.clone(), &mut zero_multipliers);
+            assert_eq!(basis.ftran(b), want);
+            checked += 1;
+        }
+        assert!(
+            zero_multipliers >= 50,
+            "only {zero_multipliers} zero multipliers"
+        );
+    }
 
     fn dense_cols(mat: &[&[f64]]) -> Vec<Vec<(usize, f64)>> {
         let m = mat.len();
