@@ -550,8 +550,15 @@ impl JobServer {
 
 impl Drop for JobServer {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.wake.notify_all();
+        // Raise the flag under the state lock: a worker in `next_claim`
+        // either sees it before waiting or is already waiting and gets the
+        // notification. Raised outside the lock, it can land between a
+        // worker's check and its wait, and that worker never wakes.
+        {
+            let _st = lock(&self.inner.state);
+            self.inner.shutdown.store(true, Ordering::Release);
+            self.inner.wake.notify_all();
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

@@ -232,3 +232,25 @@ fn cancel_queued_job_and_drain_reject_further_work() {
     assert!(server.take(a).is_some());
     assert!(server.poll(a).is_none());
 }
+
+#[test]
+fn dropping_a_server_joins_every_idle_worker() {
+    // Idle workers park on the wake condvar. Dropping the server while they
+    // are between their shutdown check and that wait must still wake them;
+    // a missed wakeup leaves `drop` joining a worker forever. Starting and
+    // dropping servers back to back hits that window, and the rounds run on
+    // a helper thread so a lost wakeup fails the test instead of hanging it.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..5000 {
+            drop(JobServer::new(ServerConfig {
+                workers: 4,
+                ..ServerConfig::default()
+            }));
+        }
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a dropped server left a worker waiting for work");
+}
