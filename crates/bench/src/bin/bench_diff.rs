@@ -18,7 +18,13 @@
 //! * **counts** (`iterations`, `cuts_added`, `pivots`, `nodes`) are
 //!   deterministic products of the exploration trajectory, so the
 //!   tolerance is tight (default 1.1×) with no absolute floor: growing the
-//!   search is an algorithmic regression, not noise.
+//!   search is an algorithmic regression, not noise. `pivots` also counts
+//!   the speculative branch-and-bound prefetch, whose waves grow with the
+//!   thread count, so it is deterministic only for a fixed number of worker
+//!   threads: when the two runs' `effective_threads` differ (a `threads = 0`
+//!   run on machines with different core counts), `pivots` is reported as
+//!   incomparable and not gated. The other counts follow the committed
+//!   search path, which is the same at every thread count.
 //! * **`optimum`** is a correctness invariant: any drift beyond 1e-9 fails
 //!   the diff regardless of tolerances.
 //!
@@ -34,6 +40,9 @@ use std::process::ExitCode;
 const TIME_METRICS: &[&str] = &["wall_secs", "milp_secs", "refine_secs", "cert_secs"];
 /// Count-class metrics of one run, gated with tight relative tolerance.
 const COUNT_METRICS: &[&str] = &["iterations", "cuts_added", "pivots", "nodes"];
+/// Count-class metrics that include speculative work, so they are only
+/// comparable between runs with the same `effective_threads`.
+const THREAD_DEPENDENT_METRICS: &[&str] = &["pivots"];
 
 struct Tolerances {
     /// Relative threshold for time-class metrics (new/old).
@@ -71,6 +80,8 @@ enum Verdict {
     Improved,
     Regression,
     Correctness,
+    /// Not comparable (thread-dependent count at different thread counts).
+    Incomparable,
 }
 
 impl Verdict {
@@ -80,6 +91,7 @@ impl Verdict {
             Verdict::Improved => "improved",
             Verdict::Regression => "REGRESSION",
             Verdict::Correctness => "CORRECTNESS",
+            Verdict::Incomparable => "incomparable",
         }
     }
 }
@@ -154,11 +166,14 @@ fn diff(old: &JsonValue, new: &JsonValue, tol: &Tolerances) -> Result<Vec<Line>,
             };
             push(metric, o, n, verdict);
         }
+        let same_threads = num(old_run, "effective_threads") == num(new_run, "effective_threads");
         for &metric in COUNT_METRICS {
             let (Some(o), Some(n)) = (num(old_run, metric), num(new_run, metric)) else {
                 continue;
             };
-            let verdict = if n > o * tol.tol_count {
+            let verdict = if !same_threads && THREAD_DEPENDENT_METRICS.contains(&metric) {
+                Verdict::Incomparable
+            } else if n > o * tol.tol_count {
                 Verdict::Regression
             } else if o > n * tol.tol_count {
                 Verdict::Improved
@@ -223,10 +238,15 @@ fn render(lines: &[Line], tol: &Tolerances) -> (String, bool) {
         .iter()
         .filter(|l| matches!(l.verdict, Verdict::Regression | Verdict::Correctness))
         .count();
+    let incomparable = lines
+        .iter()
+        .filter(|l| l.verdict == Verdict::Incomparable)
+        .count();
     out.push_str(&format!(
-        "\n{} metric(s) compared, {} regression(s)\n",
-        lines.len(),
-        regressions
+        "\n{} metric(s) compared, {} regression(s), {} incomparable\n",
+        lines.len() - incomparable,
+        regressions,
+        incomparable
     ));
     (out, failed)
 }
@@ -407,6 +427,60 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.metric == "pivots" && l.verdict == Verdict::Improved));
+    }
+
+    /// `report_with`, with the run's `effective_threads` field set.
+    fn report_on_threads(pivots: u64, nodes: u64, effective_threads: u32) -> String {
+        report_with(1.0, pivots, 42.5)
+            .replace(
+                "\"threads\": 1,",
+                &format!("\"threads\": 0, \"effective_threads\": {effective_threads},"),
+            )
+            .replace("\"nodes\": 100", &format!("\"nodes\": {nodes}"))
+    }
+
+    #[test]
+    fn pivots_are_gated_only_at_equal_effective_threads() {
+        let exact = Tolerances {
+            tol_count: 1.0,
+            ..Tolerances::default()
+        };
+        // Same effective thread count: one extra pivot is a changed path.
+        let (lines, failed) = run_diff(
+            &report_on_threads(5000, 100, 2),
+            &report_on_threads(5001, 100, 2),
+            &exact,
+        );
+        assert!(failed, "pivot growth at equal thread counts must gate");
+        assert!(lines
+            .iter()
+            .any(|l| l.metric == "pivots" && l.verdict == Verdict::Regression));
+        // Different effective thread counts: speculative pivots differ
+        // legitimately, so they are reported but never gate.
+        let (lines, failed) = run_diff(
+            &report_on_threads(5000, 100, 1),
+            &report_on_threads(5600, 100, 4),
+            &exact,
+        );
+        assert!(
+            !failed,
+            "speculative pivots at other thread counts must not gate"
+        );
+        assert!(lines
+            .iter()
+            .any(|l| l.metric == "pivots" && l.verdict == Verdict::Incomparable));
+        let (text, _) = render(&lines, &exact);
+        assert!(text.contains("1 incomparable"), "{text}");
+        // The committed search path is thread-independent: nodes still gate.
+        let (lines, failed) = run_diff(
+            &report_on_threads(5000, 100, 1),
+            &report_on_threads(5000, 101, 4),
+            &exact,
+        );
+        assert!(failed, "node growth gates at any thread count");
+        assert!(lines
+            .iter()
+            .any(|l| l.metric == "nodes" && l.verdict == Verdict::Regression));
     }
 
     #[test]
