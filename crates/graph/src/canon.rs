@@ -22,10 +22,33 @@
 //!
 //! Both the target-cell choice (lowest non-singleton color) and the final
 //! minimum are invariant under relabeling, which is what makes the output
-//! canonical. The search is exponential in the worst case but the graphs this
-//! workload canonicalizes — candidate architectures and path scopes with
-//! near-distinct `(type, implementation)` labels — refine to discrete almost
-//! immediately.
+//! canonical.
+//!
+//! The search tree has at least |Aut(G)| leaves: `k` identical parallel lines
+//! alone give `k!`. One recursion serves both [`canonical_form`] and
+//! [`automorphisms`], and it prunes the tree with the automorphisms it finds,
+//! by first-path backjumping in the manner of nauty (McKay & Piperno,
+//! *Practical Graph Isomorphism II*, 2014):
+//!
+//! * **Top-positions invariant.** `refine` ranks by old color first, and an
+//!   individualized node gets a fresh color above every rank. So at a
+//!   discrete leaf of depth `d`, the individualized nodes `v1, …, vd` hold
+//!   positions `n−d, …, n−1`, in individualization order.
+//! * **Backjump rule.** The first leaf per encoding is stored with its
+//!   individualization path. When a later leaf *of the same depth* has the
+//!   same encoding, the position-matching map γ between them is an
+//!   automorphism. By the invariant, γ fixes the two paths' common prefix
+//!   and maps the current branch, at the level where the paths diverge, onto
+//!   the stored leaf's branch, which is already finished. Every leaf left in
+//!   the current branch is then a γ-image of a visited leaf: its encoding is
+//!   already stored, and its permutation merges no new orbit pair. The
+//!   search abandons the branch at that level. Leaves of unequal depth are
+//!   recorded without a jump.
+//!
+//! The pruned search therefore yields exactly what visiting every leaf
+//! would: the same minimum encoding, the same generators in the same order,
+//! and the same orbits. `k` identical lines take `1 + k(k−1)/2` leaves
+//! instead of `k!`. The `canon.leaves` counter reports the leaves visited.
 
 use crate::digraph::DiGraph;
 use std::collections::hash_map::Entry;
@@ -59,40 +82,26 @@ pub fn canonical_form<N, E, F>(graph: &DiGraph<N, E>, label: F) -> CanonicalForm
 where
     F: Fn(&N) -> Vec<u8>,
 {
-    let n = graph.num_nodes();
-    let labels: Vec<Vec<u8>> = graph.nodes().map(|(_, w)| label(w)).collect();
-    let mut adj_out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut adj_in: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in graph.edges() {
-        adj_out[e.src.index()].push(e.dst.index());
-        adj_in[e.dst.index()].push(e.src.index());
-    }
-
-    // Initial colors: rank of the label bytes.
-    let mut uniq: Vec<&Vec<u8>> = labels.iter().collect();
-    uniq.sort();
-    uniq.dedup();
-    let mut colors: Vec<usize> = labels
-        .iter()
-        .map(|l| uniq.binary_search(&l).expect("label is present"))
-        .collect();
-
-    refine(&mut colors, &adj_out, &adj_in);
-    let mut best: Option<Vec<u8>> = None;
-    search(&colors, &labels, &adj_out, &adj_in, &mut best);
-    CanonicalForm(best.expect("every branch reaches a discrete coloring"))
+    let search = LeafSearch::run(graph, label);
+    CanonicalForm(
+        search
+            .first
+            .into_keys()
+            .min()
+            .expect("every branch reaches a discrete coloring"),
+    )
 }
 
 /// The automorphism structure of a labeled digraph: a generating set of
 /// label-preserving permutations plus the node-orbit partition they induce.
 ///
-/// Produced by [`automorphisms`] as a by-product of the same
-/// individualization–refinement search that [`canonical_form`] runs. Two
-/// discrete colorings of the *same* graph with equal encodings differ by an
-/// automorphism (map each node to the node occupying its canonical position
-/// in the other coloring), and the exhaustive search visits every coloring in
-/// an automorphism class of leaves, so the union-find closure over the
-/// derived permutations yields the exact orbit partition of `Aut(G)`.
+/// Produced by [`automorphisms`] from the same individualization–refinement
+/// search that [`canonical_form`] runs. Two discrete colorings of the *same*
+/// graph with equal encodings differ by an automorphism (map each node to the
+/// node occupying its canonical position in the other coloring). Every leaf
+/// the search skips is the image of a visited leaf under such an
+/// automorphism, so the union-find closure over the permutations found at
+/// the visited leaves yields the exact orbit partition of `Aut(G)`.
 ///
 /// The stored generators may generate a proper subgroup of `Aut(G)` —
 /// permutations that merge no new orbit pair are discarded — but the orbit
@@ -166,9 +175,8 @@ impl Automorphisms {
 
 /// Compute the automorphism structure of `graph` under the node labeling
 /// `label` (same labeling contract as [`canonical_form`]: labels take part in
-/// the isomorphism, edge weights do not). Runs the same exhaustive
-/// individualization–refinement search, so the cost is the same order as one
-/// canonicalization.
+/// the isomorphism, edge weights do not). Runs the same pruned
+/// individualization–refinement search, so the cost is one canonicalization.
 #[must_use]
 pub fn automorphisms<N, E, F>(graph: &DiGraph<N, E>, label: F) -> Automorphisms
 where
@@ -178,92 +186,164 @@ where
     if n == 0 {
         return Automorphisms::identity(0);
     }
-    let labels: Vec<Vec<u8>> = graph.nodes().map(|(_, w)| label(w)).collect();
-    let mut adj_out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut adj_in: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in graph.edges() {
-        adj_out[e.src.index()].push(e.dst.index());
-        adj_in[e.dst.index()].push(e.src.index());
-    }
-    let mut uniq: Vec<&Vec<u8>> = labels.iter().collect();
-    uniq.sort();
-    uniq.dedup();
-    let mut colors: Vec<usize> = labels
-        .iter()
-        .map(|l| uniq.binary_search(&l).expect("label is present"))
-        .collect();
-    refine(&mut colors, &adj_out, &adj_in);
-
-    let mut collect = AutCollect {
-        first: HashMap::new(),
-        generators: Vec::new(),
-        uf: (0..n).collect(),
-    };
-    search_aut(&colors, &labels, &adj_out, &adj_in, &mut collect);
-
-    let mut orbit_rep = vec![usize::MAX; n];
-    for v in 0..n {
-        let r = uf_find(&mut collect.uf, v);
-        orbit_rep[r] = orbit_rep[r].min(v);
-    }
-    let reps = orbit_rep.clone();
-    for v in 0..n {
-        orbit_rep[v] = reps[uf_find(&mut collect.uf, v)];
-    }
+    let mut search = LeafSearch::run(graph, label);
     Automorphisms {
         n,
-        generators: collect.generators,
-        orbit_rep,
+        generators: search.generators,
+        orbit_rep: orbit_reps(&mut search.uf),
     }
 }
 
-/// Leaf accumulator for [`automorphisms`]: the first discrete coloring seen
-/// per encoding, the union-find over orbit merges, and the generators kept
-/// (only permutations that merged at least one new pair — dropping the rest
-/// shrinks the generated group without changing its orbits, since a
-/// permutation that merges nothing maps every node within its existing
-/// orbit).
-struct AutCollect {
-    first: HashMap<Vec<u8>, Vec<usize>>,
+/// The one individualization–refinement search behind [`canonical_form`]
+/// and [`automorphisms`], pruned by the backjump rule in the module docs.
+///
+/// It stores the first discrete leaf per encoding with its individualization
+/// path, union-finds the automorphism each repeated encoding reveals, and
+/// keeps that permutation as a generator only when it merged at least one
+/// new pair. Dropping the rest shrinks the generated group without changing
+/// its orbits, since a permutation that merges nothing maps every node
+/// within its existing orbit.
+struct LeafSearch {
+    labels: Vec<Vec<u8>>,
+    adj_out: Vec<Vec<usize>>,
+    adj_in: Vec<Vec<usize>>,
+    /// First leaf per encoding: its coloring and its individualization path.
+    first: HashMap<Vec<u8>, (Vec<usize>, Vec<usize>)>,
     generators: Vec<Vec<usize>>,
     uf: Vec<usize>,
+    leaves: u64,
 }
 
-impl AutCollect {
-    fn leaf(&mut self, colors: &[usize], labels: &[Vec<u8>], adj_out: &[Vec<usize>]) {
-        let n = colors.len();
-        let enc = encode(colors, labels, adj_out);
-        match self.first.entry(enc) {
-            Entry::Vacant(e) => {
-                e.insert(colors.to_vec());
-            }
-            Entry::Occupied(e) => {
-                // Equal encodings: node `v` of this coloring plays the same
-                // canonical position as node `node_at0[colors[v]]` of the
-                // stored one, and that position-matching map is an
-                // automorphism (labels and the position-space edge multiset
-                // agree byte for byte).
-                let c0 = e.get();
-                let mut node_at0 = vec![0usize; n];
-                for (v, &c) in c0.iter().enumerate() {
-                    node_at0[c] = v;
-                }
-                let perm: Vec<usize> = colors.iter().map(|&c| node_at0[c]).collect();
-                let mut novel = false;
-                for (v, &pv) in perm.iter().enumerate() {
-                    let a = uf_find(&mut self.uf, v);
-                    let b = uf_find(&mut self.uf, pv);
-                    if a != b {
-                        self.uf[a.max(b)] = a.min(b);
-                        novel = true;
-                    }
-                }
-                if novel {
-                    self.generators.push(perm);
-                }
+impl LeafSearch {
+    /// Run the search on `graph` and count its leaves in `canon.leaves`.
+    fn run<N, E, F>(graph: &DiGraph<N, E>, label: F) -> Self
+    where
+        F: Fn(&N) -> Vec<u8>,
+    {
+        let (mut search, colors) = LeafSearch::new(graph, label);
+        search.descend(&colors, &mut Vec::new());
+        contrarc_obs::metrics::counter_add("canon.leaves", search.leaves);
+        search
+    }
+
+    /// An empty search over `graph`, with the refined initial coloring
+    /// (nodes colored by the rank of their label bytes) it starts from.
+    fn new<N, E, F>(graph: &DiGraph<N, E>, label: F) -> (Self, Vec<usize>)
+    where
+        F: Fn(&N) -> Vec<u8>,
+    {
+        let n = graph.num_nodes();
+        let labels: Vec<Vec<u8>> = graph.nodes().map(|(_, w)| label(w)).collect();
+        let mut adj_out: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut adj_in: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for e in graph.edges() {
+            adj_out[e.src.index()].push(e.dst.index());
+            adj_in[e.dst.index()].push(e.src.index());
+        }
+        let mut uniq: Vec<&Vec<u8>> = labels.iter().collect();
+        uniq.sort();
+        uniq.dedup();
+        let mut colors: Vec<usize> = labels
+            .iter()
+            .map(|l| uniq.binary_search(&l).expect("label is present"))
+            .collect();
+        refine(&mut colors, &adj_out, &adj_in);
+        let search = LeafSearch {
+            labels,
+            adj_out,
+            adj_in,
+            first: HashMap::new(),
+            generators: Vec::new(),
+            uf: (0..n).collect(),
+            leaves: 0,
+        };
+        (search, colors)
+    }
+
+    /// Search below `colors`, reached by individualizing `path` in order.
+    /// Returns `Some(level)` to abandon every branch below depth `level`:
+    /// the frame at that depth resumes with its next child.
+    fn descend(&mut self, colors: &[usize], path: &mut Vec<usize>) -> Option<usize> {
+        let Some(cell) = first_non_singleton(colors) else {
+            return self.leaf(colors, path);
+        };
+        let depth = path.len();
+        for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
+            let mut split = colors.to_vec();
+            // A fresh color beyond every rank: the next refine pass
+            // renormalizes it to the top rank, keeping v separated from its
+            // cell.
+            split[v] = colors.len();
+            refine(&mut split, &self.adj_out, &self.adj_in);
+            path.push(v);
+            let jump = self.descend(&split, path);
+            path.pop();
+            if let Some(level) = jump.filter(|&level| level < depth) {
+                return Some(level);
             }
         }
+        None
     }
+
+    /// Record a discrete leaf; returns the backjump level, if any.
+    fn leaf(&mut self, colors: &[usize], path: &[usize]) -> Option<usize> {
+        self.leaves += 1;
+        let enc = encode(colors, &self.labels, &self.adj_out);
+        let (c0, path0) = match self.first.entry(enc) {
+            Entry::Vacant(e) => {
+                e.insert((colors.to_vec(), path.to_vec()));
+                return None;
+            }
+            Entry::Occupied(e) => e.into_mut(),
+        };
+        // Equal encodings: node `v` of this coloring plays the same canonical
+        // position as node `node_at0[colors[v]]` of the stored one, and that
+        // position-matching map is an automorphism (labels and the
+        // position-space edge multiset agree byte for byte).
+        let mut node_at0 = vec![0usize; colors.len()];
+        for (v, &c) in c0.iter().enumerate() {
+            node_at0[c] = v;
+        }
+        let perm: Vec<usize> = colors.iter().map(|&c| node_at0[c]).collect();
+        if uf_union_all(&mut self.uf, &perm) {
+            self.generators.push(perm);
+        }
+        if path0.len() != path.len() {
+            return None;
+        }
+        Some(
+            path.iter()
+                .zip(path0.iter())
+                .position(|(a, b)| a != b)
+                .expect("distinct leaves of equal depth have distinct paths"),
+        )
+    }
+}
+
+/// Union every pair `(v, perm[v])`; true when at least one pair joined two
+/// classes.
+fn uf_union_all(uf: &mut [usize], perm: &[usize]) -> bool {
+    let mut novel = false;
+    for (v, &pv) in perm.iter().enumerate() {
+        let a = uf_find(uf, v);
+        let b = uf_find(uf, pv);
+        if a != b {
+            uf[a.max(b)] = a.min(b);
+            novel = true;
+        }
+    }
+    novel
+}
+
+/// Each node's orbit representative: the minimum index in its class.
+fn orbit_reps(uf: &mut [usize]) -> Vec<usize> {
+    let n = uf.len();
+    let mut min_of = vec![usize::MAX; n];
+    for v in 0..n {
+        let r = uf_find(uf, v);
+        min_of[r] = min_of[r].min(v);
+    }
+    (0..n).map(|v| min_of[uf_find(uf, v)]).collect()
 }
 
 fn uf_find(uf: &mut [usize], v: usize) -> usize {
@@ -278,28 +358,6 @@ fn uf_find(uf: &mut [usize], v: usize) -> usize {
         c = next;
     }
     r
-}
-
-/// The same individualization–refinement recursion as [`search`], collecting
-/// every discrete leaf instead of keeping only the minimum encoding.
-fn search_aut(
-    colors: &[usize],
-    labels: &[Vec<u8>],
-    adj_out: &[Vec<usize>],
-    adj_in: &[Vec<usize>],
-    collect: &mut AutCollect,
-) {
-    match first_non_singleton(colors) {
-        None => collect.leaf(colors, labels, adj_out),
-        Some(cell) => {
-            for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
-                let mut split = colors.to_vec();
-                split[v] = colors.len();
-                refine(&mut split, adj_out, adj_in);
-                search_aut(&split, labels, adj_out, adj_in, collect);
-            }
-        }
-    }
 }
 
 /// Weisfeiler–Leman color refinement: repeatedly re-rank nodes by
@@ -340,35 +398,6 @@ fn first_non_singleton(colors: &[usize]) -> Option<usize> {
         count[c] += 1;
     }
     (0..n).find(|&c| count[c] >= 2)
-}
-
-/// Individualization–refinement search over candidate canonical orderings,
-/// keeping the lexicographically smallest encoding in `best`.
-fn search(
-    colors: &[usize],
-    labels: &[Vec<u8>],
-    adj_out: &[Vec<usize>],
-    adj_in: &[Vec<usize>],
-    best: &mut Option<Vec<u8>>,
-) {
-    match first_non_singleton(colors) {
-        None => {
-            let enc = encode(colors, labels, adj_out);
-            if best.as_ref().is_none_or(|b| enc < *b) {
-                *best = Some(enc);
-            }
-        }
-        Some(cell) => {
-            for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
-                let mut split = colors.to_vec();
-                // A fresh color beyond every rank: the next refine pass
-                // renormalizes it while keeping v separated from its cell.
-                split[v] = colors.len();
-                refine(&mut split, adj_out, adj_in);
-                search(&split, labels, adj_out, adj_in, best);
-            }
-        }
-    }
 }
 
 /// Encode a graph under a discrete coloring (node at canonical position `p`
@@ -495,7 +524,7 @@ mod tests {
     #[test]
     fn random_permutations_agree() {
         // A mid-size graph with repeated labels, canonicalized under many
-        // node permutations (deterministic LCG; no external RNG).
+        // node permutations.
         let labels = ["s", "f", "f", "g", "g", "t", "f"];
         let edges = [
             (0, 1),
@@ -508,28 +537,11 @@ mod tests {
             (6, 4),
         ];
         let reference = form(&graph(&labels, &edges));
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
         for trial in 0..20 {
-            // Fisher–Yates with an xorshift step.
-            let mut perm: Vec<usize> = (0..labels.len()).collect();
-            for i in (1..perm.len()).rev() {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                perm.swap(i, (state as usize) % (i + 1));
-            }
-            let plabels: Vec<&str> = {
-                let mut v = vec![""; labels.len()];
-                for (i, &p) in perm.iter().enumerate() {
-                    v[p] = labels[i];
-                }
-                v
-            };
-            let pedges: Vec<(usize, usize)> =
-                edges.iter().map(|&(a, b)| (perm[a], perm[b])).collect();
             assert_eq!(
                 reference,
-                form(&graph(&plabels, &pedges)),
+                form(&shuffled(&mut rng, &labels, &edges)),
                 "permutation trial {trial}"
             );
         }
@@ -672,6 +684,223 @@ mod tests {
         assert_eq!(a.num_orbits(), 3);
         assert_eq!(a.orbit_rep(2), 2);
         assert!(a.generators().is_empty());
+    }
+
+    /// The exhaustive recursions the pruned search replaced. They visit
+    /// every discrete leaf, and serve as the oracle the pruned search must
+    /// match byte for byte.
+    mod oracle {
+        use super::super::*;
+
+        pub(super) fn canonical_form(g: &DiGraph<String, ()>) -> CanonicalForm {
+            let (s, colors) = LeafSearch::new(g, |l| l.clone().into_bytes());
+            let mut best: Option<Vec<u8>> = None;
+            search(&colors, &s.labels, &s.adj_out, &s.adj_in, &mut best);
+            CanonicalForm(best.expect("every branch reaches a discrete coloring"))
+        }
+
+        pub(super) fn automorphisms(g: &DiGraph<String, ()>) -> Automorphisms {
+            let n = g.num_nodes();
+            if n == 0 {
+                return Automorphisms::identity(0);
+            }
+            let (s, colors) = LeafSearch::new(g, |l| l.clone().into_bytes());
+            let mut collect = AutCollect {
+                first: HashMap::new(),
+                generators: Vec::new(),
+                uf: (0..n).collect(),
+            };
+            search_aut(&colors, &s.labels, &s.adj_out, &s.adj_in, &mut collect);
+            Automorphisms {
+                n,
+                generators: collect.generators,
+                orbit_rep: orbit_reps(&mut collect.uf),
+            }
+        }
+
+        /// First coloring per encoding, orbit union-find and kept generators.
+        struct AutCollect {
+            first: HashMap<Vec<u8>, Vec<usize>>,
+            generators: Vec<Vec<usize>>,
+            uf: Vec<usize>,
+        }
+
+        impl AutCollect {
+            fn leaf(&mut self, colors: &[usize], labels: &[Vec<u8>], adj_out: &[Vec<usize>]) {
+                let enc = encode(colors, labels, adj_out);
+                match self.first.entry(enc) {
+                    Entry::Vacant(e) => {
+                        e.insert(colors.to_vec());
+                    }
+                    Entry::Occupied(e) => {
+                        let c0 = e.get();
+                        let mut node_at0 = vec![0usize; colors.len()];
+                        for (v, &c) in c0.iter().enumerate() {
+                            node_at0[c] = v;
+                        }
+                        let perm: Vec<usize> = colors.iter().map(|&c| node_at0[c]).collect();
+                        if uf_union_all(&mut self.uf, &perm) {
+                            self.generators.push(perm);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn search_aut(
+            colors: &[usize],
+            labels: &[Vec<u8>],
+            adj_out: &[Vec<usize>],
+            adj_in: &[Vec<usize>],
+            collect: &mut AutCollect,
+        ) {
+            match first_non_singleton(colors) {
+                None => collect.leaf(colors, labels, adj_out),
+                Some(cell) => {
+                    for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
+                        let mut split = colors.to_vec();
+                        split[v] = colors.len();
+                        refine(&mut split, adj_out, adj_in);
+                        search_aut(&split, labels, adj_out, adj_in, collect);
+                    }
+                }
+            }
+        }
+
+        fn search(
+            colors: &[usize],
+            labels: &[Vec<u8>],
+            adj_out: &[Vec<usize>],
+            adj_in: &[Vec<usize>],
+            best: &mut Option<Vec<u8>>,
+        ) {
+            match first_non_singleton(colors) {
+                None => {
+                    let enc = encode(colors, labels, adj_out);
+                    if best.as_ref().is_none_or(|b| enc < *b) {
+                        *best = Some(enc);
+                    }
+                }
+                Some(cell) => {
+                    for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
+                        let mut split = colors.to_vec();
+                        split[v] = colors.len();
+                        refine(&mut split, adj_out, adj_in);
+                        search(&split, labels, adj_out, adj_in, best);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A seeded xorshift stream (no external RNG).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// `labels`/`edges` with node ids shuffled, so symmetric families do not
+    /// reach the search in their construction order.
+    fn shuffled(rng: &mut Rng, labels: &[&str], edges: &[(usize, usize)]) -> DiGraph<String, ()> {
+        // Fisher–Yates.
+        let mut perm: Vec<usize> = (0..labels.len()).collect();
+        for i in (1..perm.len()).rev() {
+            perm.swap(i, rng.below(i + 1));
+        }
+        let mut plabels = vec![""; labels.len()];
+        for (i, &p) in perm.iter().enumerate() {
+            plabels[p] = labels[i];
+        }
+        let pedges: Vec<(usize, usize)> = edges.iter().map(|&(a, b)| (perm[a], perm[b])).collect();
+        graph(&plabels, &pedges)
+    }
+
+    /// One graph of at most 8 nodes from `family` (0..4): a random labeled
+    /// digraph, copies of a random piece, parallel lines between a shared
+    /// source and sink, or a directed cycle. Sizes keep the exhaustive
+    /// oracle near a few hundred leaves per graph.
+    fn family_graph(rng: &mut Rng, family: usize) -> DiGraph<String, ()> {
+        let alphabet = ["a", "b", "c"];
+        let mut labels: Vec<&str> = Vec::new();
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        match family {
+            0 => {
+                let n = 1 + rng.below(8);
+                let k = 1 + rng.below(3);
+                labels = (0..n).map(|_| alphabet[rng.below(k)]).collect();
+                let density = 1 + rng.below(4);
+                for a in 0..n {
+                    for b in 0..n {
+                        if rng.below(8) < density {
+                            edges.push((a, b));
+                        }
+                    }
+                }
+            }
+            1 => {
+                let piece = 1 + rng.below(4);
+                let copies = 2 + rng.below((8 / piece).min(5) - 1);
+                let plabels: Vec<&str> = (0..piece).map(|_| alphabet[rng.below(2)]).collect();
+                let mut pedges = Vec::new();
+                for a in 0..piece {
+                    for b in 0..piece {
+                        if rng.below(3) == 0 {
+                            pedges.push((a, b));
+                        }
+                    }
+                }
+                for c in 0..copies {
+                    labels.extend(&plabels);
+                    edges.extend(pedges.iter().map(|&(a, b)| (c * piece + a, c * piece + b)));
+                }
+            }
+            2 => {
+                let lines = 2 + rng.below(4);
+                let len = 1 + rng.below(6 / lines);
+                labels.push("s");
+                labels.push("t");
+                for _ in 0..lines {
+                    let mut prev = 0;
+                    for _ in 0..len {
+                        labels.push("m");
+                        edges.push((prev, labels.len() - 1));
+                        prev = labels.len() - 1;
+                    }
+                    edges.push((prev, 1));
+                }
+            }
+            _ => {
+                let n = 1 + rng.below(8);
+                labels = vec!["a"; n];
+                edges = (0..n).map(|i| (i, (i + 1) % n)).collect();
+            }
+        }
+        shuffled(rng, &labels, &edges)
+    }
+
+    /// The complete digraph on `n` identically labeled nodes.
+    fn complete(n: usize) -> DiGraph<String, ()> {
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        graph(&vec!["a"; n], &edges)
+    }
+
+    #[test]
+    fn pruned_search_matches_exhaustive_oracle() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let random = (0..600).map(|trial| family_graph(&mut rng, trial % 4));
+        for (i, g) in random.chain((1..=7).map(complete)).enumerate() {
+            assert_eq!(form(&g), oracle::canonical_form(&g), "graph {i}: form");
+            assert_eq!(aut(&g), oracle::automorphisms(&g), "graph {i}: group");
+        }
     }
 
     #[test]

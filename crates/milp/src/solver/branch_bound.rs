@@ -259,7 +259,7 @@ pub(crate) fn solve_traced(
         .budget
         .deadline()
         .tightened_by_secs(opts.time_limit_secs);
-    let threads = contrarc_par::effective_threads(opts.threads.max(1));
+    let threads = contrarc_par::effective_threads(opts.threads);
     let mut stats = SolveStats::default();
     let mut solve_span = contrarc_obs::span!(
         "milp.solve",

@@ -327,6 +327,36 @@ mod tests {
     }
 
     #[test]
+    fn parallel_groups_match_the_exhaustive_search() {
+        // Five default lines of 7 slots each, laid out line by line. The
+        // exhaustive individualization–refinement search (120 leaves) keeps
+        // four adjacent line swaps, last pair first, and folds the 35 slots
+        // into one orbit per layer. The pruned search must return exactly
+        // this, generator order included.
+        let p = build_parallel(&RplConfig::default(), 5);
+        let swap = |a: usize, b: usize| -> Vec<usize> {
+            (0..35)
+                .map(|v| match v / 7 {
+                    l if l == a => b * 7 + v % 7,
+                    l if l == b => a * 7 + v % 7,
+                    _ => v,
+                })
+                .collect()
+        };
+        let generators = vec![swap(3, 4), swap(2, 3), swap(1, 2), swap(0, 1)];
+        let orbit_reps: Vec<usize> = (0..35).map(|v| v % 7).collect();
+        for aut in [
+            contrarc::sym::matcher_automorphisms(&p),
+            contrarc::sym::encoding_automorphisms(&p),
+        ] {
+            assert_eq!(aut.num_nodes(), 35);
+            assert_eq!(aut.generators(), generators.as_slice());
+            let reps: Vec<usize> = (0..35).map(|v| aut.orbit_rep(v)).collect();
+            assert_eq!(reps, orbit_reps);
+        }
+    }
+
+    #[test]
     fn parallel_symmetry_on_off_agree_across_threads() {
         use contrarc::SymmetryConfig;
         let cfg = RplConfig {
