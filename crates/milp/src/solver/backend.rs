@@ -175,11 +175,49 @@ pub(crate) struct LpSolve {
     pub warm_attempted: bool,
     /// The warm (dual simplex) path produced the outcome.
     pub warm_used: bool,
-    /// Basis refactorizations performed during this solve.
+    /// LP-layer work of this solve, cold fallback included.
+    pub work: LpWork,
+}
+
+/// LP-layer work counters of one solve. Callers emit them (see
+/// [`LpWork::emit`]) only at deterministic commit points, so the metrics
+/// are identical for every thread count.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LpWork {
+    /// Basis refactorizations.
     pub refactorizations: u64,
     /// Optimal finishes that reused the current factorization instead of
     /// rebuilding it (eta file already empty at canonicalization time).
     pub refactor_reuses: u64,
+    /// Nonzeros appended to eta files, pivot elements included.
+    pub eta_nnz: u64,
+    /// Reduced costs `d_j` recomputed by pricing.
+    pub dj_updates: u64,
+}
+
+impl std::ops::AddAssign for LpWork {
+    fn add_assign(&mut self, other: LpWork) {
+        self.refactorizations += other.refactorizations;
+        self.refactor_reuses += other.refactor_reuses;
+        self.eta_nnz += other.eta_nnz;
+        self.dj_updates += other.dj_updates;
+    }
+}
+
+impl LpWork {
+    /// Add the nonzero counts to the metrics registry.
+    pub fn emit(&self) {
+        for (name, n) in [
+            ("milp.refactorizations", self.refactorizations),
+            ("milp.refactor_reuse", self.refactor_reuses),
+            ("milp.eta_nnz", self.eta_nnz),
+            ("milp.dj_updates", self.dj_updates),
+        ] {
+            if n > 0 {
+                contrarc_obs::metrics::counter_add(name, n);
+            }
+        }
+    }
 }
 
 /// One LP engine: constructed per solve over a borrowed standard form.
@@ -196,11 +234,8 @@ pub(crate) trait LpEngine<'a>: Sized {
     fn snapshot(&self) -> Option<BasisSnapshot>;
     fn pivots(&self) -> u64;
     fn take_uncharged_pivots(&mut self) -> u64;
-    fn refactorizations(&self) -> u64 {
-        0
-    }
-    fn refactor_reuses(&self) -> u64 {
-        0
+    fn work(&self) -> LpWork {
+        LpWork::default()
     }
 }
 
@@ -223,8 +258,7 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
     let mut engine = E::new(req.sf, req.opts, req.deadline);
     let warm_attempted = req.opts.warm_start && req.warm.is_some();
     let mut warm_used = false;
-    let mut refactorizations = 0u64;
-    let mut refactor_reuses = 0u64;
+    let mut work = LpWork::default();
     let mut pivots = 0u64;
     let lp_result = match req.warm {
         Some(snap) if req.opts.warm_start => match engine.solve_warm(snap) {
@@ -237,8 +271,7 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
                 // cold start on a fresh engine, keeping the pivots already
                 // spent so budgets stay exact.
                 pivots += engine.pivots();
-                refactorizations += engine.refactorizations();
-                refactor_reuses += engine.refactor_reuses();
+                work += engine.work();
                 let settled = req
                     .opts
                     .budget
@@ -254,8 +287,7 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
         _ => engine.solve(),
     };
     pivots += engine.pivots();
-    refactorizations += engine.refactorizations();
-    refactor_reuses += engine.refactor_reuses();
+    work += engine.work();
     // Settle the shared budget at the LP boundary; exhaustion takes
     // precedence over the LP outcome, matching the serial control flow.
     let charged = req
@@ -276,8 +308,7 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
         basis,
         warm_attempted,
         warm_used,
-        refactorizations,
-        refactor_reuses,
+        work,
     }
 }
 

@@ -30,7 +30,7 @@ use crate::error::SolveError;
 use crate::model::Model;
 use crate::presolve;
 use crate::solution::{Outcome, Solution, SolveStats};
-use crate::solver::backend::{backend_for, LpRequest};
+use crate::solver::backend::{backend_for, LpRequest, LpWork};
 use crate::solver::budget::Deadline;
 use crate::solver::{BasisSnapshot, LpOutcome, SolveOptions};
 use crate::standard_form::StandardForm;
@@ -116,16 +116,15 @@ impl Ord for HeapEntry {
 
 /// The outcome of one node's LP relaxation, cacheable by node sequence
 /// number. `pivots` is recorded even when the solve errored so committed
-/// statistics match the serial trajectory exactly. The warm-start and
-/// refactorization tallies ride along so metrics are emitted only at the
+/// statistics match the serial trajectory exactly. The warm-start tallies
+/// and LP work counters ride along so metrics are emitted only at the
 /// serial commit point — speculative evaluations stay silent and the
 /// counters are identical for every thread count.
 struct NodeEval {
     pivots: u64,
     warm_attempted: bool,
     warm_used: bool,
-    refactorizations: u64,
-    refactor_reuses: u64,
+    work: LpWork,
     result: Result<(LpOutcome, Option<Arc<BasisSnapshot>>), SolveError>,
 }
 
@@ -153,8 +152,7 @@ fn eval_node(
         pivots: solve.pivots,
         warm_attempted: solve.warm_attempted,
         warm_used: solve.warm_used,
-        refactorizations: solve.refactorizations,
-        refactor_reuses: solve.refactor_reuses,
+        work: solve.work,
         result: solve.result.map(|lp| (lp, solve.basis)),
     }
 }
@@ -423,12 +421,7 @@ pub(crate) fn solve_traced(
                 contrarc_obs::metrics::counter_add("milp.warm_start_cold_falls", 1);
             }
         }
-        if eval.refactorizations > 0 {
-            contrarc_obs::metrics::counter_add("milp.refactorizations", eval.refactorizations);
-        }
-        if eval.refactor_reuses > 0 {
-            contrarc_obs::metrics::counter_add("milp.refactor_reuse", eval.refactor_reuses);
-        }
+        eval.work.emit();
         if node.depth == 0 {
             root_pivots = Some(eval.pivots);
         }
@@ -500,18 +493,7 @@ pub(crate) fn solve_traced(
                         warm: None,
                     });
                     stats.simplex_iterations += fixed.pivots;
-                    if fixed.refactorizations > 0 {
-                        contrarc_obs::metrics::counter_add(
-                            "milp.refactorizations",
-                            fixed.refactorizations,
-                        );
-                    }
-                    if fixed.refactor_reuses > 0 {
-                        contrarc_obs::metrics::counter_add(
-                            "milp.refactor_reuse",
-                            fixed.refactor_reuses,
-                        );
-                    }
+                    fixed.work.emit();
                     let fixed_basis = fixed.basis;
                     match fixed.result? {
                         LpOutcome::Optimal {

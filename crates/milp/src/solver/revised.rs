@@ -28,10 +28,31 @@
 //! symmetry-breaking rows, which are routinely tight at symmetric optima.
 //! Opt-in node warm starts ([`SolveOptions::node_warm_start`]) skip the
 //! check and accept the weaker tie guarantee documented on that flag.
+//!
+//! # Incremental pricing
+//!
+//! Pricing reads cached reduced costs `d_j = c_j − yᵀA_j`. After each
+//! pivot the duals `y = B⁻ᵀ c_B` are recomputed by BTRAN, but only a few of
+//! their entries change, so `recompute_reduced_costs` recomputes `d_j`,
+//! with the same `col_dot`, only for the nonbasic columns among
+//!
+//! * the columns with an entry in a row whose `y` changed bit for bit
+//!   (found through the standard form's row index),
+//! * the columns that left the basis since the last pass (basic columns
+//!   are never repriced, so theirs is stale), and
+//! * the artificial columns (which the row index does not cover).
+//!
+//! Every other nonbasic column reads the same `y` bits and the same `c_j`
+//! as when its `d_j` was last computed, and `col_dot` is a fixed sequence
+//! of floating-point operations, so its cached `d_j` equals a full
+//! recompute bit for bit — and so does every pricing decision. A change of
+//! costs (phase 1, phase 2, an installed warm start) or of the column
+//! count forces a full pass. The unit tests check every incremental pass
+//! against a full recompute.
 
 use crate::error::SolveError;
 use crate::solver::backend::{
-    BasisSnapshot, BoundHit, ColState, DualEnd, IterEnd, LpEngine, LpOutcome, RatioResult,
+    BasisSnapshot, BoundHit, ColState, DualEnd, IterEnd, LpEngine, LpOutcome, LpWork, RatioResult,
     BLAND_TRIGGER, PIVOT_TOL,
 };
 use crate::solver::budget::Deadline;
@@ -58,17 +79,38 @@ pub(crate) struct RevisedSimplex<'a> {
     xb: Vec<f64>,
     /// Current phase costs per column.
     costs: Vec<f64>,
-    /// Cached reduced costs per column (recomputed each pivot).
+    /// Cached reduced costs per column; for every nonbasic column equal bit
+    /// for bit to `costs[j] − col_dot(y_priced, j)`.
     dvec: Vec<f64>,
+    /// The duals `dvec` was priced against; empty forces a full pass.
+    y_priced: Vec<f64>,
+    /// Columns that left the basis since the last pricing pass.
+    left_basis: Vec<usize>,
+    /// Pricing pass that last repriced each structural or slack column, so
+    /// a column reached through several changed rows is priced once.
+    priced_in: Vec<u64>,
+    pricing_pass: u64,
     /// Fixed-at-zero artificial bounds during phase 2.
     art_fixed: bool,
     pub pivots: u64,
     degenerate_run: u32,
     deadline: Deadline,
     charged: u64,
-    refactorizations: u64,
-    refactor_reuses: u64,
+    work: LpWork,
     refactor_every: u64,
+    #[cfg(test)]
+    audit: PricingAudit,
+}
+
+/// What the unit tests' pricing oracle saw.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct PricingAudit {
+    /// Incremental passes checked against a full recompute.
+    incremental_passes: u64,
+    /// Columns repriced only because they left the basis.
+    leaving_only: u64,
+    bound_flips: u64,
 }
 
 impl<'a> RevisedSimplex<'a> {
@@ -87,14 +129,19 @@ impl<'a> RevisedSimplex<'a> {
             xb: vec![0.0; m],
             costs: Vec::new(),
             dvec: Vec::new(),
+            y_priced: Vec::new(),
+            left_basis: Vec::new(),
+            priced_in: vec![0; sf.num_cols()],
+            pricing_pass: 0,
             art_fixed: false,
             pivots: 0,
             degenerate_run: 0,
             deadline,
             charged: 0,
-            refactorizations: 0,
-            refactor_reuses: 0,
+            work: LpWork::default(),
             refactor_every: opts.refactor_every.max(1),
+            #[cfg(test)]
+            audit: PricingAudit::default(),
         }
     }
 
@@ -260,7 +307,7 @@ impl<'a> RevisedSimplex<'a> {
     fn finalize_canonical(&mut self) {
         if let Some(op) = &self.basis_op {
             if op.num_etas() == 0 {
-                self.refactor_reuses += 1;
+                self.work.refactor_reuses += 1;
                 self.refresh_xb();
                 return;
             }
@@ -452,7 +499,7 @@ impl<'a> RevisedSimplex<'a> {
                     self.xb[r] -= t * wr;
                 }
             }
-            self.pivot(enter, row, w, enter_val, hit)?;
+            self.pivot(enter, row, &w, enter_val, hit)?;
             self.pivots += 1;
             if self.pivots % 64 == 63 {
                 self.refresh_xb();
@@ -549,6 +596,7 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     fn set_phase1_costs(&mut self) {
+        self.y_priced.clear();
         self.costs = vec![0.0; self.total_cols];
         for k in 0..self.artificials.len() {
             self.costs[self.art_base + k] = 1.0;
@@ -556,6 +604,7 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     fn set_phase2_costs(&mut self) {
+        self.y_priced.clear();
         self.costs = vec![0.0; self.total_cols];
         self.costs[..self.sf.num_cols()].copy_from_slice(&self.sf.obj);
         self.art_fixed = true;
@@ -594,7 +643,7 @@ impl<'a> RevisedSimplex<'a> {
             if let Some(j) = entering {
                 let w = self.ftran_col(j);
                 let enter_val = self.nonbasic_value(j);
-                self.pivot(j, r, w, enter_val, BoundHit::Lower)?;
+                self.pivot(j, r, &w, enter_val, BoundHit::Lower)?;
             }
         }
         Ok(())
@@ -630,7 +679,7 @@ impl<'a> RevisedSimplex<'a> {
         match LuFactors::build(self.m, &cols, &order) {
             Some(f) => {
                 self.basis_op = Some(FactorizedBasis::new(f));
-                self.refactorizations += 1;
+                self.work.refactorizations += 1;
                 true
             }
             None => false,
@@ -713,13 +762,84 @@ impl<'a> RevisedSimplex<'a> {
         }
     }
 
-    /// Recompute the cached reduced costs `d_j = c_j − c_Bᵀ B⁻¹ A_j`.
+    /// Bring the cached reduced costs `d_j = c_j − c_Bᵀ B⁻¹ A_j` up to date
+    /// with the current basis: a full pass after a change of costs or
+    /// columns, otherwise an incremental one (see the module docs).
     fn recompute_reduced_costs(&mut self) {
         let y = self.btran_costs();
-        self.dvec.resize(self.total_cols, 0.0);
-        for j in 0..self.total_cols {
-            self.dvec[j] = self.costs[j] - self.col_dot(&y, j);
+        if self.y_priced.len() != self.m || self.dvec.len() != self.total_cols {
+            self.dvec.resize(self.total_cols, 0.0);
+            for j in 0..self.total_cols {
+                self.dvec[j] = self.costs[j] - self.col_dot(&y, j);
+            }
+            self.work.dj_updates += self.total_cols as u64;
+        } else {
+            self.pricing_pass += 1;
+            let sf = self.sf;
+            for r in 0..self.m {
+                if y[r].to_bits() != self.y_priced[r].to_bits() {
+                    for &j in sf.row_index.row(r) {
+                        self.reprice_once(j as usize, &y);
+                    }
+                }
+            }
+            for k in 0..self.left_basis.len() {
+                let j = self.left_basis[k];
+                if j < self.art_base {
+                    #[cfg(test)]
+                    {
+                        self.audit.leaving_only += u64::from(
+                            self.priced_in[j] != self.pricing_pass
+                                && !matches!(self.state[j], ColState::Basic(_)),
+                        );
+                    }
+                    self.reprice_once(j, &y);
+                }
+            }
+            for j in self.art_base..self.total_cols {
+                self.reprice(j, &y);
+            }
+            #[cfg(test)]
+            self.assert_pricing_matches_full_pass(&y);
         }
+        self.left_basis.clear();
+        self.y_priced = y;
+    }
+
+    /// [`reprice`](Self::reprice) a structural or slack column unless this
+    /// pass already did.
+    fn reprice_once(&mut self, j: usize, y: &[f64]) {
+        if self.priced_in[j] != self.pricing_pass {
+            self.priced_in[j] = self.pricing_pass;
+            self.reprice(j, y);
+        }
+    }
+
+    /// Recompute `d_j` of a nonbasic column.
+    fn reprice(&mut self, j: usize, y: &[f64]) {
+        if !matches!(self.state[j], ColState::Basic(_)) {
+            self.dvec[j] = self.costs[j] - self.col_dot(y, j);
+            self.work.dj_updates += 1;
+        }
+    }
+
+    /// The pricing oracle: after an incremental pass, every nonbasic `d_j`
+    /// equals a full recompute bit for bit.
+    #[cfg(test)]
+    fn assert_pricing_matches_full_pass(&mut self, y: &[f64]) {
+        for j in 0..self.total_cols {
+            if matches!(self.state[j], ColState::Basic(_)) {
+                continue;
+            }
+            let full = self.costs[j] - self.col_dot(y, j);
+            assert_eq!(
+                self.dvec[j].to_bits(),
+                full.to_bits(),
+                "incremental d_{j} = {} but a full recompute gives {full}",
+                self.dvec[j]
+            );
+        }
+        self.audit.incremental_passes += 1;
     }
 
     // ---- main loop ---------------------------------------------------------
@@ -744,6 +864,10 @@ impl<'a> RevisedSimplex<'a> {
             match self.ratio_test(j, dir, &w, bland) {
                 RatioResult::Unbounded => return Ok(IterEnd::Unbounded),
                 RatioResult::BoundFlip { t } => {
+                    #[cfg(test)]
+                    {
+                        self.audit.bound_flips += 1;
+                    }
                     self.apply_bound_flip(j, dir, t, &w);
                     self.pivots += 1;
                     self.degenerate_run = 0;
@@ -755,7 +879,7 @@ impl<'a> RevisedSimplex<'a> {
                             self.xb[r] -= dir * t * wr;
                         }
                     }
-                    self.pivot(j, row, w, enter_val, hit)?;
+                    self.pivot(j, row, &w, enter_val, hit)?;
                     self.pivots += 1;
                     if t <= 1e-12 {
                         self.degenerate_run += 1;
@@ -888,7 +1012,7 @@ impl<'a> RevisedSimplex<'a> {
         &mut self,
         j: usize,
         row: usize,
-        w: Vec<f64>,
+        w: &[f64],
         enter_val: f64,
         hit: BoundHit,
     ) -> Result<(), SolveError> {
@@ -900,12 +1024,13 @@ impl<'a> RevisedSimplex<'a> {
         self.basis[row] = j;
         self.state[j] = ColState::Basic(row as u32);
         self.xb[row] = enter_val;
+        self.left_basis.push(leaving);
 
         let op = self
             .basis_op
             .as_mut()
             .expect("basis factorized before any pivot");
-        op.push_eta(row, w);
+        self.work.eta_nnz += op.push_eta(row, w) as u64;
         if op.num_etas() as u64 >= self.refactor_every {
             if !self.refactorize() {
                 return Err(SolveError::Numerical(
@@ -969,18 +1094,17 @@ impl<'a> LpEngine<'a> for RevisedSimplex<'a> {
     fn take_uncharged_pivots(&mut self) -> u64 {
         RevisedSimplex::take_uncharged_pivots(self)
     }
-    fn refactorizations(&self) -> u64 {
-        self.refactorizations
-    }
-    fn refactor_reuses(&self) -> u64 {
-        self.refactor_reuses
+    fn work(&self) -> LpWork {
+        self.work
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cmp, Model, Sense};
+    use crate::{Cmp, LinExpr, Model, Sense};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn lp(model: &Model) -> LpOutcome {
         let sf = StandardForm::build(model, None);
@@ -1105,11 +1229,14 @@ mod tests {
             }
             other => panic!("expected optimal, got {other:?}"),
         }
-        assert!(sx.refactorizations > 1, "every pivot should refactorize");
+        assert!(
+            sx.work.refactorizations > 1,
+            "every pivot should refactorize"
+        );
         // The last pivot already rebuilt the LU, so the canonical finish
         // finds an empty eta file and reuses the factorization.
         assert!(
-            sx.refactor_reuses >= 1,
+            sx.work.refactor_reuses >= 1,
             "optimal finish should reuse the fresh factorization"
         );
     }
@@ -1137,7 +1264,7 @@ mod tests {
             let LpOutcome::Optimal { values, min_obj } = out else {
                 panic!("expected optimal");
             };
-            (values, min_obj, sx.refactor_reuses)
+            (values, min_obj, sx.work.refactor_reuses)
         };
         let (v1, o1, reuses1) = solve_with(1);
         let (v2, o2, _) = solve_with(SolveOptions::default().refactor_every);
@@ -1203,5 +1330,178 @@ mod tests {
             }
             other => panic!("expected two optima, got {other:?}"),
         }
+    }
+
+    /// A seeded random LP around a known feasible point: boxed, lower-bounded
+    /// and free variables, sparse `≤`, `≥` and `=` rows whose right-hand
+    /// sides the all-slack start often cannot absorb (so phase 1 needs
+    /// artificials), and costs spread over many orders of magnitude.
+    fn random_pricing_lp(rng: &mut StdRng) -> Model {
+        const COEFS: [f64; 8] = [1.0, -1.0, 2.0, -2.0, 0.5, 3.0, -0.25, 4.0];
+        let mut m = Model::new("pricing");
+        let mut point = Vec::new();
+        let vars: Vec<_> = (0..rng.random_range(3..=14))
+            .map(|i| match rng.random_range(0..8) {
+                0 => {
+                    point.push(-1.0);
+                    m.add_free(format!("x{i}"))
+                }
+                1 => {
+                    point.push(1.5);
+                    m.add_continuous(format!("x{i}"), 0.0, f64::INFINITY)
+                }
+                _ => {
+                    let ub = rng.random_range(1..=4) as f64;
+                    point.push(ub / 2.0);
+                    m.add_continuous(format!("x{i}"), 0.0, ub)
+                }
+            })
+            .collect();
+        for r in 0..rng.random_range(2..=12) {
+            let mut expr = LinExpr::default();
+            let mut at_point = 0.0;
+            for (v, x) in vars.iter().zip(&point) {
+                if rng.random_bool(0.4) {
+                    let a = COEFS[rng.random_range(0..COEFS.len())];
+                    expr += LinExpr::term(*v, a);
+                    at_point += a * x;
+                }
+            }
+            let slack = rng.random_range(0..=3) as f64;
+            let (cmp, rhs) = match rng.random_range(0..3) {
+                0 => (Cmp::Le, at_point + slack),
+                1 => (Cmp::Ge, at_point - slack),
+                _ => (Cmp::Eq, at_point),
+            };
+            m.add_constr(format!("r{r}"), expr, cmp, rhs).unwrap();
+        }
+        let objective: LinExpr = vars
+            .iter()
+            .map(|&v| {
+                let scale = 10f64.powi(rng.random_range(-3..=6));
+                LinExpr::term(v, COEFS[rng.random_range(0..COEFS.len())] * scale)
+            })
+            .sum();
+        let sense = if rng.random_bool(0.5) {
+            Sense::Minimize
+        } else {
+            Sense::Maximize
+        };
+        m.set_objective(sense, objective);
+        m
+    }
+
+    #[test]
+    fn incremental_pricing_matches_full_recompute() {
+        // Every incremental pricing pass asserts, under cfg(test), that each
+        // nonbasic d_j equals a full recompute bit for bit. This drives it
+        // through phase 1, the switch to phase 2, bound flips, both
+        // refactorization cadences and dual-simplex warm starts.
+        let mut rng = StdRng::seed_from_u64(0xd1ff);
+        let mut seen = PricingAudit::default();
+        let (mut phase2_after_phase1, mut warm_finishes) = (0, 0);
+        let mut tally = |sx: &RevisedSimplex<'_>| {
+            seen.incremental_passes += sx.audit.incremental_passes;
+            seen.leaving_only += sx.audit.leaving_only;
+            seen.bound_flips += sx.audit.bound_flips;
+        };
+        for _ in 0..400 {
+            let model = random_pricing_lp(&mut rng);
+            let sf = StandardForm::build(&model, None);
+            for refactor_every in [1, 64] {
+                let opts = SolveOptions {
+                    refactor_every,
+                    ..SolveOptions::default()
+                };
+                let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+                let out = sx.solve().expect("small LPs solve");
+                tally(&sx);
+                let LpOutcome::Optimal { values, .. } = out else {
+                    continue;
+                };
+                phase2_after_phase1 += usize::from(!sx.artificials.is_empty());
+                let Some(snap) = sx.snapshot() else {
+                    continue;
+                };
+                // Move one variable's box off its optimal value and repair
+                // from the optimal basis.
+                let (mut lbs, mut ubs): (Vec<f64>, Vec<f64>) =
+                    model.vars().map(|(_, d)| (d.lb, d.ub)).unzip();
+                let k = rng.random_range(0..values.len());
+                if rng.random_bool(0.5) {
+                    ubs[k] = (values[k] - 0.5).max(lbs[k]);
+                } else {
+                    lbs[k] = (values[k] + 0.5).min(ubs[k]);
+                }
+                let node = sf.rebind(&lbs, &ubs);
+                let mut warm = RevisedSimplex::new(&node, &opts, Deadline::unlimited());
+                if warm.solve_warm(&snap).expect("small LPs solve").is_some() {
+                    warm_finishes += 1;
+                }
+                tally(&warm);
+            }
+        }
+        assert!(
+            seen.incremental_passes >= 2000
+                && seen.bound_flips >= 100
+                && phase2_after_phase1 >= 100
+                && warm_finishes >= 100,
+            "{seen:?}, {phase2_after_phase1} phase-2 optima after phase 1, \
+             {warm_finishes} warm finishes"
+        );
+    }
+
+    #[test]
+    fn pricing_stays_exact_across_arbitrary_pivots() {
+        // A random walk over bases, with zero to three pivots between
+        // pricing passes. Zero-cost slacks on rows whose dual is exactly
+        // zero enter with d_j = 0, so such a pivot leaves y unchanged bit
+        // for bit: the column it expels is then repriced only because it
+        // left the basis. Pricing reads only the basis and the costs, so
+        // the walk ignores values and bounds and only keeps its pivot
+        // elements away from zero.
+        let mut rng = StdRng::seed_from_u64(0x1eaf);
+        let mut seen = PricingAudit::default();
+        for case in 0..300 {
+            let model = random_pricing_lp(&mut rng);
+            let sf = StandardForm::build(&model, None);
+            let opts = SolveOptions {
+                refactor_every: [1, 64][case % 2],
+                ..SolveOptions::default()
+            };
+            let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+            sx.init_phase1();
+            assert!(sx.refactorize());
+            if sx.phase1_needed() && case % 3 != 0 {
+                sx.set_phase1_costs();
+            } else {
+                sx.set_phase2_costs();
+            }
+            sx.recompute_reduced_costs();
+            'walk: for _ in 0..40 {
+                for _ in 0..rng.random_range(0..=3) {
+                    let j = rng.random_range(0..sx.total_cols);
+                    if matches!(sx.state[j], ColState::Basic(_)) {
+                        continue;
+                    }
+                    let w = sx.ftran_col(j);
+                    let row = rng.random_range(0..sx.m);
+                    if w[row].abs() < 0.25 {
+                        continue;
+                    }
+                    let value = sx.nonbasic_value(j);
+                    if sx.pivot(j, row, &w, value, BoundHit::Lower).is_err() {
+                        break 'walk;
+                    }
+                }
+                sx.recompute_reduced_costs();
+            }
+            seen.incremental_passes += sx.audit.incremental_passes;
+            seen.leaving_only += sx.audit.leaving_only;
+        }
+        assert!(
+            seen.incremental_passes >= 5000 && seen.leaving_only >= 100,
+            "{seen:?}"
+        );
     }
 }

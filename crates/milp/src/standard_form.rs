@@ -8,7 +8,9 @@
 //! * `≥` → `s ∈ (-∞, 0]`
 //! * `=` → `s ∈ [0, 0]`
 //!
-//! Columns are stored sparsely; the simplex only ever needs column access.
+//! Columns are stored sparsely. A row-wise index of their pattern
+//! ([`RowIndex`]) lets the revised simplex find the columns that touch a
+//! row without scanning them all.
 
 use crate::constraint::Cmp;
 use crate::model::{Model, Sense};
@@ -19,6 +21,45 @@ use std::sync::Arc;
 pub(crate) struct SparseCol {
     pub rows: Vec<u32>,
     pub vals: Vec<f64>,
+}
+
+/// Which columns have an entry in each row, in compressed sparse row form:
+/// the columns of row `i` are `cols[start[i]..start[i + 1]]`, ascending.
+#[derive(Debug)]
+pub(crate) struct RowIndex {
+    start: Vec<u32>,
+    cols: Vec<u32>,
+}
+
+impl RowIndex {
+    fn build(m: usize, cols: &[SparseCol]) -> RowIndex {
+        let mut start = vec![0u32; m + 1];
+        for col in cols {
+            for &r in &col.rows {
+                start[r as usize + 1] += 1;
+            }
+        }
+        for i in 0..m {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut row_cols = vec![0u32; start[m] as usize];
+        for (j, col) in cols.iter().enumerate() {
+            for &r in &col.rows {
+                row_cols[fill[r as usize] as usize] = j as u32;
+                fill[r as usize] += 1;
+            }
+        }
+        RowIndex {
+            start,
+            cols: row_cols,
+        }
+    }
+
+    /// Columns with an entry in row `i`, ascending.
+    pub fn row(&self, i: usize) -> &[u32] {
+        &self.cols[self.start[i] as usize..self.start[i + 1] as usize]
+    }
 }
 
 /// Geometric-mean row/column equilibration (two sweeps), rounded to powers
@@ -149,6 +190,8 @@ pub(crate) struct StandardForm {
     /// Shared column data: [`StandardForm::rebind`] clones the form with new
     /// bounds without copying the matrix.
     pub cols: Arc<Vec<SparseCol>>,
+    /// Row-wise index of `cols`, shared the same way.
+    pub row_index: Arc<RowIndex>,
     pub lower: Vec<f64>,
     pub upper: Vec<f64>,
     pub rhs: Vec<f64>,
@@ -218,6 +261,7 @@ impl StandardForm {
         StandardForm {
             num_structural: n,
             num_rows: m,
+            row_index: Arc::new(RowIndex::build(m, &cols)),
             cols: Arc::new(cols),
             lower,
             upper,
@@ -244,6 +288,7 @@ impl StandardForm {
             num_structural: self.num_structural,
             num_rows: self.num_rows,
             cols: Arc::clone(&self.cols),
+            row_index: Arc::clone(&self.row_index),
             lower,
             upper,
             rhs: self.rhs.clone(),
@@ -314,6 +359,23 @@ mod tests {
         let ubs = [3.0];
         let sf = StandardForm::build(&m, Some((&lbs, &ubs)));
         assert_eq!((sf.lower[0], sf.upper[0]), (2.0, 3.0));
+    }
+
+    #[test]
+    fn row_index_transposes_the_column_pattern() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.add_constr("a", x + 2.0 * y, Cmp::Le, 5.0).unwrap();
+        m.add_constr("b", 1.0 * y, Cmp::Ge, 1.0).unwrap();
+        m.add_constr("c", 3.0 * x, Cmp::Eq, 2.0).unwrap();
+        let sf = StandardForm::build(&m, None);
+        // Columns: x, y, then one slack per row.
+        assert_eq!(sf.row_index.row(0), &[0, 1, 2]);
+        assert_eq!(sf.row_index.row(1), &[1, 3]);
+        assert_eq!(sf.row_index.row(2), &[0, 4]);
+        let node = sf.rebind(&[1.0, 1.0], &[2.0, 2.0]);
+        assert!(Arc::ptr_eq(&sf.row_index, &node.row_index));
     }
 
     #[test]

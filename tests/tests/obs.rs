@@ -175,6 +175,27 @@ fn metrics_registry_mirrors_exploration_stats() {
 }
 
 #[test]
+fn lp_work_counters_are_thread_count_invariant() {
+    // The LP layer's work counters are emitted only for committed B&B
+    // evaluations, so speculative prefetch at 4 threads leaves them as they
+    // are at 1 thread.
+    let _serial = serialize();
+    let counters = |threads: usize| {
+        let (_, report) = contrarc_obs::metrics::with_metrics(|| {
+            explore(&problem(), &config(threads)).expect("exploration failed")
+        });
+        ["milp.refactorizations", "milp.eta_nnz", "milp.dj_updates"].map(|name| {
+            report
+                .counter(name)
+                .unwrap_or_else(|| panic!("counter '{name}' never emitted"))
+        })
+    };
+    let serial = counters(1);
+    assert!(serial.iter().all(|&n| n > 0), "{serial:?}");
+    assert_eq!(counters(4), serial);
+}
+
+#[test]
 fn live_gauges_are_populated_and_thread_count_invariant() {
     let _serial = serialize();
     let run = |threads: usize| {
